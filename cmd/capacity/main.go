@@ -9,9 +9,10 @@
 // divides the delta by the client count. Two process models are measured:
 //
 //	proc  — each client is a spawned Proc blocked in Wait: one pooled
-//	        worker goroutine, one resume channel, one calendar event.
+//	        worker coroutine (a goroutine stack plus the iter.Pull state
+//	        that switches into it), one calendar event.
 //	light — each client is a run-to-completion event chain (the SpawnFn
-//	        style): one closure and one calendar event, no goroutine.
+//	        style): one closure and one calendar event, no coroutine.
 //
 // Example:
 //

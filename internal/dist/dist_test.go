@@ -369,6 +369,11 @@ func TestPoolRunPlanJob(t *testing.T) {
 		Backoff: retry.Backoff{Base: 5 * time.Millisecond, Cap: 10 * time.Millisecond},
 	})
 	defer pool.Close()
+	// pick breaks in-flight ties by URL, and the two test servers' ports
+	// order at random. A phantom request on the live worker makes the
+	// dead one the least loaded, so the first job always fails over.
+	pool.clients[1].inflight.Add(1)
+	defer pool.clients[1].inflight.Add(-1)
 
 	p, err := tinySweep().Plan()
 	if err != nil {

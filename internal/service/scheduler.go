@@ -173,6 +173,13 @@ func (j *Job) finishLocked(st JobState, err error) {
 	j.bump()
 }
 
+// maxFinishedJobs bounds how many terminal jobs the scheduler keeps
+// registered for the lifecycle endpoints. Beyond it the oldest terminal job
+// is forgotten: its id answers 404, while its rows stay in the result cache
+// if they were cached. Non-terminal jobs are never evicted; admission
+// already bounds them by capacity.
+const maxFinishedJobs = 256
+
 // Scheduler multiplexes submitted experiments over one bounded worker
 // pool. Admission is bounded (capacity non-terminal jobs; Submit returns
 // ErrBusy beyond that) and dispatch is round-robin across active jobs:
@@ -192,6 +199,7 @@ type Scheduler struct {
 	cond     *sync.Cond
 	jobs     map[string]*Job
 	order    []*Job // submission order, for listings
+	finished []*Job // terminal jobs in the order they ended, oldest first
 	ring     []*Job // jobs with unclaimed slots, claimed round-robin
 	rr       int
 	active   int // non-terminal jobs admitted against capacity
@@ -284,6 +292,7 @@ func (s *Scheduler) Submit(req *dynlb.ExperimentRequest) (*Job, error) {
 		j.rowsTotal = len(rows)
 		j.state = JobDone
 		close(j.done)
+		s.retireLocked(j)
 		return j, nil
 	}
 	if s.active >= s.capacity {
@@ -305,6 +314,7 @@ func (s *Scheduler) Submit(req *dynlb.ExperimentRequest) (*Job, error) {
 		j.state = JobDone
 		close(j.done)
 		s.cache.Put(key, j.rows)
+		s.retireLocked(j)
 		return j, nil
 	}
 	s.active++
@@ -533,22 +543,22 @@ func (s *Scheduler) slotDone(j *Job, i int, runErr error) {
 	j.completed++
 	finished := j.completed == j.total
 	if finished {
+		// Cache before the job turns visibly done, so a client that sees
+		// it done and resubmits is served from the cache. The rows slice
+		// is append-only and final here, so the cache can share it.
+		s.cache.Put(j.key, j.rows)
 		j.state = JobDone
 		close(j.done)
 	}
 	j.bump()
-	key, cacheRows := j.key, j.rows
 	j.mu.Unlock()
 	if finished {
-		// The rows slice is append-only and final here, so the cache can
-		// share it.
-		s.cache.Put(key, cacheRows)
 		s.release(j)
 	}
 }
 
-// release returns a terminal job's admission slot and drops it from the
-// dispatch ring.
+// release returns a terminal job's admission slot, drops it from the
+// dispatch ring and files it for eviction.
 func (s *Scheduler) release(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -563,5 +573,27 @@ func (s *Scheduler) release(j *Job) {
 	}
 	if s.active > 0 {
 		s.active--
+	}
+	s.retireLocked(j)
+}
+
+// retireLocked files a job that has just turned terminal in the finished
+// FIFO and forgets the oldest terminal job once the FIFO exceeds
+// maxFinishedJobs; callers hold s.mu. Like claim it never takes j.mu: the
+// callers have already seen j terminal, and a terminal job stays terminal.
+func (s *Scheduler) retireLocked(j *Job) {
+	s.finished = append(s.finished, j)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished[0] = nil
+	s.finished = s.finished[1:]
+	delete(s.jobs, old.id)
+	for i, o := range s.order {
+		if o == old {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -367,6 +368,63 @@ func TestWorkerPanicFailsJobOnly(t *testing.T) {
 	waitJob(t, ok)
 	if st := ok.Status(); st.State != string(JobDone) || st.Rows != st.RowsTotal {
 		t.Errorf("job after panic not cleanly done: %+v", st)
+	}
+}
+
+// panicStrategy is a placement strategy whose Decide panics. Decide runs
+// inside the simulation — in an event a blocked join process may dispatch
+// in its own context — not in the slot executor around it.
+type panicStrategy struct{}
+
+func (panicStrategy) Name() string { return "panic" }
+
+func (panicStrategy) Decide(dynlb.QueryInfo, *dynlb.View, *rand.Rand) dynlb.Decision {
+	panic("strategy Decide panic")
+}
+
+// TestSimulationPanicFailsJob: a panic raised deep inside a running
+// simulation surfaces from the kernel on the worker's goroutine, so the
+// worker recovers it like any slot panic — the job turns failed with the
+// panic in its error — and the pool keeps serving.
+func TestSimulationPanicFailsJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	s := New(1, 4, 0)
+	defer s.Close()
+	s.runSlot = func(j *Job, i int) error {
+		if j.label != "boom" {
+			return j.plan.RunJob(i)
+		}
+		// The single-user closed loop starts a join query at once, so the
+		// control node consults the strategy early in the run.
+		cfg, _ := j.plan.Job(i)
+		cfg.JoinQPSPerPE = 0
+		r, err := dynlb.Run(cfg, panicStrategy{})
+		if err != nil {
+			return err
+		}
+		j.plan.SetJobResult(i, r)
+		return nil
+	}
+
+	boom, err := s.Submit(tinyReq("boom", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, boom)
+	st := boom.Status()
+	if st.State != string(JobFailed) || !strings.Contains(st.Error, "strategy Decide panic") {
+		t.Fatalf("job with a panicking simulation: state %q error %q, want failed with the panic", st.State, st.Error)
+	}
+
+	ok, err := s.Submit(tinyReq("ok", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, ok)
+	if st := ok.Status(); st.State != string(JobDone) || st.Rows != st.RowsTotal {
+		t.Errorf("job after the simulation panic not cleanly done: %+v", st)
 	}
 }
 

@@ -331,3 +331,58 @@ func TestServerHealth(t *testing.T) {
 		t.Errorf("health doc %+v", doc)
 	}
 }
+
+// TestJobRegistryBounded: the scheduler forgets the oldest terminal jobs
+// beyond maxFinishedJobs, so a daemon serving an endless stream of
+// documents keeps a bounded registry. Cache hits are terminal on arrival:
+// submitting more of them than the bound keeps the listing bounded and the
+// newest jobs reachable, an evicted id answers 404, and a job that is still
+// queued is never evicted.
+func TestJobRegistryBounded(t *testing.T) {
+	sched := idleScheduler(4, 4) // no workers: an uncached job stays queued
+	ts := httptest.NewServer(NewServer(sched))
+	defer ts.Close()
+
+	queued, err := sched.Submit(tinyReq("queued", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := tinyReq("cached", 2)
+	key, err := req.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.cache.Put(key, nil)
+
+	const extra = 10
+	var ids []string
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		code, st, _ := postJSON(t, ts.URL, req)
+		if code != http.StatusOK || !st.Cached {
+			t.Fatalf("submit %d: code %d status %+v, want a 200 cache hit", i, code, st)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	if n := len(sched.List()); n != maxFinishedJobs+1 {
+		t.Errorf("List holds %d jobs, want %d terminal + 1 queued", n, maxFinishedJobs)
+	}
+	if _, err := sched.Job(queued.ID()); err != nil {
+		t.Errorf("queued job evicted: %v", err)
+	}
+	for _, id := range ids[extra:] {
+		if _, err := sched.Job(id); err != nil {
+			t.Fatalf("recent job %s evicted: %v", id, err)
+		}
+	}
+	for _, id := range ids[:extra] {
+		resp, err := http.Get(ts.URL + "/v1/experiments/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job %s: GET answered %d, want 404", id, resp.StatusCode)
+		}
+	}
+}

@@ -7,8 +7,7 @@ import "testing"
 // Run(warmup+measure)): the continuation fast path is active and a blocked
 // process dispatches its own wake-up in-context. Each has a Parked variant
 // with the fast path disabled — the pre-continuation park/resume behavior —
-// so the goroutine-switch cost the fast path removes is measured in the
-// same binary.
+// so the switch cost the fast path removes is measured in the same binary.
 
 // BenchmarkEventDispatch measures the raw event path — one calendar insert
 // plus one extract and dispatch per operation — with no process handoff,
@@ -33,7 +32,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 
 // benchWaitLoop measures the steady-state cost of one Proc.Wait: one
 // calendar insert and one extract. With the fast path (inline=true) the
-// waiter dispatches its own wake-up and never switches goroutines; without
+// waiter dispatches its own wake-up and never switches coroutines; without
 // it every Wait pays the two switches of a park/resume pair. ns/op here
 // bounds overall simulator throughput — Wait is the dominant primitive of
 // every simulation run. allocs/op must be 0 in steady state either way.
@@ -115,11 +114,37 @@ func benchChanPingPong(b *testing.B, inline bool) {
 func BenchmarkChanPingPong(b *testing.B)       { benchChanPingPong(b, true) }
 func BenchmarkChanPingPongParked(b *testing.B) { benchChanPingPong(b, false) }
 
+// BenchmarkProcHandoff measures the bare process-to-process switch: two
+// processes take turns through Park/Unpark, so one operation is a round
+// trip of exactly two handoffs (each a yield to the root loop plus a
+// resume of the other coroutine) with no calendar or mailbox traffic.
+func BenchmarkProcHandoff(b *testing.B) {
+	k := NewKernel()
+	var ping *Proc
+	pong := k.Spawn("pong", func(p *Proc) {
+		for {
+			p.Park()
+			ping.Unpark()
+		}
+	})
+	ping = k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Unpark()
+			p.Park()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
+	b.StopTimer()
+	k.Shutdown()
+}
+
 // BenchmarkUncontendedUse measures Server.Use on a free station — the
 // engine's hottest call shape (pe.compute charging a CPU hold): Acquire
 // succeeds immediately and the timed hold is a pure continuation. With the
 // fast path this is Acquire + calendar insert/extract + Release with zero
-// goroutine switches.
+// coroutine switches.
 func benchUncontendedUse(b *testing.B, inline bool) {
 	k := NewKernel()
 	k.SetInlineDispatch(inline)
@@ -141,9 +166,9 @@ func BenchmarkUncontendedUseParked(b *testing.B) { benchUncontendedUse(b, false)
 // benchSpawnEphemeral measures the full lifecycle of a short-lived process
 // — spawn, one timed hold, return — the shape of every OLTP transaction,
 // commit participant and control helper in the engine. With pooling the
-// spawn hands the body to a parked worker over its existing resume channel:
-// no goroutine birth, no channel, no Proc allocation. The Unpooled variant
-// pays a fresh goroutine per spawn — the pre-PR-6 behavior.
+// spawn hands the body to a parked worker coroutine: no coroutine birth, no
+// Proc allocation. The Unpooled variant pays a fresh coroutine per spawn —
+// the pre-pool behavior.
 func benchSpawnEphemeral(b *testing.B, pooled bool) {
 	k := NewKernel()
 	k.SetSpawnPooling(pooled)
@@ -169,7 +194,7 @@ func BenchmarkSpawnEphemeralUnpooled(b *testing.B) { benchSpawnEphemeral(b, fals
 
 // BenchmarkLightSpawn measures a run-to-completion process — SpawnFn plus
 // one UseFn hold on a free server — the light replacement for the ctl-send
-// and ctrl-decide helper processes. One event per stage, no goroutine or
+// and ctrl-decide helper processes. One event per stage, no coroutine or
 // Proc at all.
 func BenchmarkLightSpawn(b *testing.B) {
 	k := NewKernel()

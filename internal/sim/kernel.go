@@ -19,8 +19,8 @@ const maxTime = Time(1<<63 - 1)
 
 // Kernel owns the simulated clock and the event calendar and drives all
 // processes. A Kernel and everything attached to it must be used from a
-// single OS-level goroutine (the one that calls Run); process goroutines are
-// scheduled by the kernel itself and never run concurrently with it.
+// single OS-level goroutine (the one that calls Run); process coroutines are
+// resumed by the kernel itself and never run concurrently with it.
 //
 // Scheduling structure: events in the future live in the calendar queue
 // (calQueue, O(1) amortized); events at the current instant — unparks and
@@ -29,12 +29,12 @@ const maxTime = Time(1<<63 - 1)
 // dispatch loop lets same-time calendar events with lower sequence numbers
 // (scheduled earlier, from a past instant) fire first.
 //
-// Dispatch is cooperative ("the ball"): exactly one goroutine at a time —
-// the root Run loop or one process — pops and dispatches events. A blocking
-// process does not hand control back to the root loop; it keeps dispatching
-// in its own context until its own resume event comes up (continuation fast
-// path, zero goroutine switches) or another process's turn arrives (direct
-// handoff, one switch). See Proc.block.
+// Dispatch is cooperative ("the ball"): exactly one context at a time — the
+// root Run loop or one process — pops and dispatches events. A blocking
+// process keeps dispatching in its own context until its own resume event
+// comes up (continuation fast path, zero switches) or another process's turn
+// arrives (a handoff: it yields and the root loop resumes that process with
+// one coroutine switch each way). See Proc.block and switchTo.
 type Kernel struct {
 	now     Time
 	seq     int64
@@ -42,23 +42,22 @@ type Kernel struct {
 	nowQ    []*event
 	nowHead int
 	pool    []*event
-	yield   chan struct{}
+	handoff *Proc // process a yielding process named to run next
 	running bool
 	inline  bool // continuation fast path enabled (default true)
-	pooling bool // spawn reuses parked worker goroutines (default true)
-	killing bool // Shutdown in progress: resumes unwind via the kill sentinel
+	pooling bool // spawn reuses parked worker coroutines (default true)
 	horizon Time // until of the active Run; valid while running
 	blocked int  // processes parked on a resource or mailbox
 	procSeq int64
 
 	procs []*Proc   // live processes (spawned, not yet finished), registry order
-	freeW []*worker // parked pooled worker goroutines awaiting reuse
+	freeW []*worker // parked pooled worker coroutines awaiting reuse
 
 	dispatched   int64 // events dispatched since kernel creation
-	inlineWakes  int64 // blocks resolved in-context, without a goroutine switch
-	handoffs     int64 // goroutine switches into a process (direct or from root)
-	goroutines   int   // worker goroutines alive (parked, running, or blocked)
-	spawnReuses  int64 // spawns served by a pooled worker instead of a new goroutine
+	inlineWakes  int64 // blocks resolved in-context, without a switch
+	handoffs     int64 // switches into a process
+	goroutines   int   // worker coroutines alive (parked, running, or blocked)
+	spawnReuses  int64 // spawns served by a pooled worker instead of a new coroutine
 	lightSpawns  int64 // run-to-completion processes started via SpawnFn
 	batchedGets  int64 // Chan.GetAll drains
 	batchedItems int64 // messages delivered through GetAll drains
@@ -66,17 +65,13 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	// Capacity 1 makes every handoff rendezvous a single blocking receive
-	// instead of a send/receive pair on both sides: the sender never
-	// blocks, and the happens-before edge of the buffered send still
-	// orders all simulation state written before a handoff.
-	k := &Kernel{yield: make(chan struct{}, 1), inline: true, pooling: true}
+	k := &Kernel{inline: true, pooling: true}
 	k.cq.shift = calShift
 	return k
 }
 
-// SetSpawnPooling toggles worker-goroutine pooling. With it disabled every
-// Spawn starts a fresh goroutine that exits when the process returns (the
+// SetSpawnPooling toggles worker-coroutine pooling. With it disabled every
+// Spawn starts a fresh coroutine that ends when the process returns (the
 // pre-pool behavior). Dispatch order — and therefore every simulation result
 // — is identical either way; the switch exists for benchmarks and
 // equivalence tests. It must not be called while Run is active.
@@ -88,10 +83,10 @@ func (k *Kernel) SetSpawnPooling(enabled bool) {
 }
 
 // SetInlineDispatch toggles the continuation fast path. With it disabled
-// every block is a park/resume pair through the root Run loop (the
-// pre-fast-path behavior). Dispatch order — and therefore every simulation
-// result — is identical either way; the switch exists for benchmarks and
-// determinism tests. It must not be called while Run is active.
+// every block yields to the root Run loop, which dispatches the next event
+// and resumes the process when its turn comes (the pre-fast-path behavior).
+// Dispatch order — and therefore every simulation result — is identical
+// either way; the switch exists for benchmarks and determinism tests. It must not be called while Run is active.
 func (k *Kernel) SetInlineDispatch(enabled bool) {
 	if k.running {
 		panic("sim: SetInlineDispatch during Run")
@@ -118,18 +113,18 @@ func (k *Kernel) Blocked() int { return k.blocked }
 // state SpawnReuses tracks Spawns (every spawn reuses a parked worker) and
 // LiveGoroutines stays O(peak live processes) — not O(total spawned).
 // LightSpawns counts run-to-completion processes (SpawnFn) that needed no
-// goroutine at all; BatchedGets/BatchedItems measure mailbox-drain leverage
+// coroutine at all; BatchedGets/BatchedItems measure mailbox-drain leverage
 // (items per wake-up). OverflowLen/OverflowPeak/OverflowPushes/Migrations
 // diagnose a wheel-width mismatch; WheelShift/WidthResizes record how the
 // self-tuning calendar responded (see calQueue.maybeWiden).
 type KernelStats struct {
 	Dispatched  int64 // events dispatched since kernel creation
 	InlineWakes int64 // blocks resolved in-context (continuation fast path, no switch)
-	Handoffs    int64 // goroutine switches into a process
+	Handoffs    int64 // coroutine switches into a process
 
 	Spawns         int64 // processes ever spawned (Spawn/SpawnAt/SpawnArg)
-	SpawnReuses    int64 // spawns served by a parked pooled worker (no goroutine birth)
-	LiveGoroutines int   // worker goroutines alive: parked in the pool, running, or blocked
+	SpawnReuses    int64 // spawns served by a parked pooled worker (no coroutine birth)
+	LiveGoroutines int   // worker coroutines alive: parked in the pool, running, or blocked
 	LightSpawns    int64 // run-to-completion processes started via SpawnFn
 	BatchedGets    int64 // Chan.GetAll drains
 	BatchedItems   int64 // messages delivered through GetAll drains
@@ -201,12 +196,12 @@ func (k *Kernel) schedule(e *event) {
 // It panics if t is in the simulated past.
 //
 // "Kernel context" is wherever dispatch is happening: with the
-// continuation fast path (the default) fn may execute on a blocked
-// process's goroutine rather than the goroutine that called Run, so a
-// panic escaping fn unwinds that process goroutine and cannot be recovered
-// around Run. Treat a panic in an event function as fatal (it is a
-// simulation bug either way); recover inside fn if a callback must be
-// panic-safe.
+// continuation fast path (the default) fn may execute inside a blocked
+// process's coroutine rather than the root Run loop. A panic escaping fn
+// unwinds that process (its defers run) and then surfaces from Run on the
+// goroutine that called it, as does a panic in a process body, so it can
+// be recovered around Run. After such a panic the kernel must not run
+// again; call Shutdown to retire its processes and coroutines.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
@@ -266,17 +261,20 @@ func (k *Kernel) next(until Time) *event {
 	return e
 }
 
-// switchTo hands the ball to p and waits for it to come back to the root
-// loop: p runs — possibly dispatching further events in its own context,
-// possibly handing off directly to other processes — until some ball holder
-// drains the horizon or finishes, which yields to the root.
+// switchTo resumes p and, while the process that yields back names a
+// handoff, resumes that process next. Each resumed process runs —
+// possibly dispatching further events in its own context — until it needs
+// another process's turn, drains the horizon or finishes. A panic escaping
+// a process surfaces here, on the goroutine that called Run.
 func (k *Kernel) switchTo(p *Proc) {
-	if p.done {
-		panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+	for p != nil {
+		if p.done {
+			panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+		}
+		k.handoffs++
+		p.w.next()
+		p, k.handoff = k.handoff, nil
 	}
-	k.handoffs++
-	p.resume <- struct{}{}
-	<-k.yield
 }
 
 // dispatch recycles e and performs its action from the root loop: a process
@@ -297,19 +295,7 @@ func (k *Kernel) dispatch(e *event) {
 // Events exactly at until are executed. Run may be called repeatedly with
 // increasing horizons.
 func (k *Kernel) Run(until Time) Time {
-	if k.running {
-		panic("sim: Kernel.Run re-entered")
-	}
-	k.running = true
-	k.horizon = until
-	defer func() { k.running = false }()
-	for {
-		e := k.next(until)
-		if e == nil {
-			break
-		}
-		k.dispatch(e)
-	}
+	k.run(until)
 	if k.now < until {
 		k.now = until
 	}
@@ -319,20 +305,21 @@ func (k *Kernel) Run(until Time) Time {
 // RunAll executes events until the calendar is empty, leaving the clock at
 // the time of the last event executed.
 func (k *Kernel) RunAll() Time {
+	k.run(maxTime)
+	return k.now
+}
+
+// run is the root dispatch loop shared by Run and RunAll.
+func (k *Kernel) run(until Time) {
 	if k.running {
 		panic("sim: Kernel.Run re-entered")
 	}
 	k.running = true
-	k.horizon = maxTime
+	k.horizon = until
 	defer func() { k.running = false }()
-	for {
-		e := k.next(maxTime)
-		if e == nil {
-			break
-		}
+	for e := k.next(until); e != nil; e = k.next(until) {
 		k.dispatch(e)
 	}
-	return k.now
 }
 
 // Pending reports the number of scheduled events (calendar and same-instant
@@ -343,7 +330,7 @@ func (k *Kernel) Pending() int {
 
 // SpawnFn starts a run-to-completion "light" process: fn is scheduled as an
 // ordinary event at the current time and runs in kernel context — no
-// goroutine, no resume channel, no Proc allocation. fn must never block
+// coroutine, no switch, no Proc allocation. fn must never block
 // (there is no process identity to suspend); timed holds are expressed
 // through the continuation primitives (Server.UseFn, netw.SendFn), which
 // schedule their follow-up events at exactly the (time, seq) positions the
@@ -357,45 +344,45 @@ func (k *Kernel) SpawnFn(fn func()) {
 }
 
 // Shutdown terminates every live process and dismisses the worker pool,
-// releasing all goroutines and the memory their stacks and captured state
+// releasing all coroutines and the memory their stacks and captured state
 // pin. Call it when a simulation is complete (after the final Run and after
-// results have been read): without it, a long sweep of independent
-// simulations would accumulate one pool of parked goroutines per kernel.
+// results have been read, or after recovering a panic out of Run): without
+// it, a long sweep of independent simulations would accumulate one pool of
+// parked coroutines per kernel.
 //
-// Each live process is killed by injecting a panic sentinel at its blocked
-// resume point; the unwind runs the process's defers (admission tokens,
-// buffer space and locks are returned normally) and is recovered at the
-// spawn boundary. Pending calendar events are left in place — they will
-// simply never be dispatched. The kernel must not be used for further
-// simulation after Shutdown.
+// Each live process is killed by stopping its coroutine: the pending yield
+// at its block point returns false and the process panics a sentinel, so
+// the unwind runs its defers (admission tokens, buffer space and locks are
+// returned normally) and is recovered at the spawn boundary. Processes
+// whose start event never fired, and one whose body already panicked out
+// of Run, are retired without running anything. Pending calendar events
+// are left in place — they will simply never be dispatched. The kernel
+// must not be used for further simulation after Shutdown.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")
 	}
-	k.killing = true
 	for len(k.procs) > 0 {
 		p := k.procs[len(k.procs)-1]
-		// Every live process is parked at a resume receive with an empty
-		// buffer (Run only returns once all ready events are dispatched),
-		// so this send is the kill signal, and the yield receive observes
-		// the goroutine's exit protocol.
-		p.resume <- struct{}{}
-		<-k.yield
+		p.w.stop()
+		if !p.done {
+			k.finishProc(p)
+		}
+		k.goroutines--
 	}
-	k.killing = false
 	k.ReleaseWorkers()
 }
 
-// ReleaseWorkers dismisses the parked worker-goroutine pool (a nil-fn
-// resume makes a pooled worker return). Shutdown calls it; it is exported
-// for callers that never spawn blocking processes but still want to drop
-// the pool between simulations.
+// ReleaseWorkers dismisses the parked worker-coroutine pool (stopping a
+// parked worker ends its coroutine). Shutdown calls it; it is exported for
+// callers that never spawn blocking processes but still want to drop the
+// pool between simulations.
 func (k *Kernel) ReleaseWorkers() {
 	if k.running {
 		panic("sim: ReleaseWorkers during Run")
 	}
 	for i, w := range k.freeW {
-		w.proc.resume <- struct{}{}
+		w.stop()
 		k.freeW[i] = nil
 	}
 	k.goroutines -= len(k.freeW)

@@ -179,23 +179,141 @@ func TestShutdownKillsBlockedProcs(t *testing.T) {
 		t.Fatalf("Live = %d before Shutdown, want %d", k.Live(), len(body))
 	}
 	k.Shutdown()
-	if k.Live() != 0 {
-		t.Errorf("Live = %d after Shutdown, want 0", k.Live())
-	}
+	requireRetired(t, k)
 	if defersRun != len(body) {
 		t.Errorf("defers ran on %d of %d killed processes", defersRun, len(body))
 	}
-	if s := k.Stats(); s.LiveGoroutines != 0 {
-		t.Errorf("LiveGoroutines = %d after Shutdown, want 0", s.LiveGoroutines)
-	}
-	// The OS-level goroutines must actually exit (give the scheduler a
-	// moment: the workers' final channel receives race the counter).
+	requireGoroutinesBack(t, before)
+}
+
+// requireGoroutinesBack fails the test unless the runtime goroutine count
+// returns to before: every process coroutine must actually have exited.
+// (Give the runtime a moment: a finished goroutine's exit may lag the
+// switch that resumed its stopper.)
+func requireGoroutinesBack(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Errorf("%d goroutines alive after Shutdown, %d before kernel creation", g, before)
+	}
+}
+
+// requireRetired checks the kernel's view of a finished Shutdown: no live
+// process and no live worker coroutine.
+func requireRetired(t *testing.T, k *Kernel) {
+	t.Helper()
+	if k.Live() != 0 {
+		t.Errorf("Live = %d after Shutdown, want 0", k.Live())
+	}
+	if s := k.Stats(); s.LiveGoroutines != 0 {
+		t.Errorf("LiveGoroutines = %d after Shutdown, want 0", s.LiveGoroutines)
+	}
+}
+
+// TestPanicRecoveredAroundRun: a panic in a process body, or in an event
+// function a blocked process dispatches inline, unwinds that process (its
+// defers run) and surfaces from Run on the calling goroutine, where it can
+// be recovered. Shutdown then retires the panicked process and kills the
+// rest, leaving no coroutine behind.
+func TestPanicRecoveredAroundRun(t *testing.T) {
+	cases := []struct {
+		name   string
+		inline bool
+		setup  func(k *Kernel)
+	}{
+		{"body", true, func(k *Kernel) {
+			k.Spawn("boom", func(p *Proc) {
+				p.Wait(Millisecond)
+				panic("boom")
+			})
+		}},
+		{"inline-fn", true, func(k *Kernel) {
+			k.At(Millisecond, func() { panic("boom") })
+		}},
+		{"parked-fn", false, func(k *Kernel) {
+			k.At(Millisecond, func() { panic("boom") })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel()
+			k.SetInlineDispatch(tc.inline)
+			defersRun := 0
+			// On the fast path the last process to block (the parker)
+			// holds the ball when the fn comes due and runs it inline.
+			// Blocked processes and the late starter that did not panic
+			// must still be retired by Shutdown.
+			k.Spawn("waiter", func(p *Proc) {
+				defer func() { defersRun++ }()
+				p.Wait(Second)
+			})
+			k.Spawn("parker", func(p *Proc) {
+				defer func() { defersRun++ }()
+				p.Park()
+			})
+			k.SpawnAt(2*Second, "late", func(p *Proc) { t.Error("late process ran") })
+			tc.setup(k)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				k.Run(10 * Millisecond)
+				return nil
+			}()
+			if got != "boom" {
+				t.Fatalf("recovered %v around Run, want boom", got)
+			}
+			k.Shutdown()
+			requireRetired(t, k)
+			if defersRun != 2 {
+				t.Errorf("defers ran on %d of 2 blocked processes", defersRun)
+			}
+			requireGoroutinesBack(t, before)
+		})
+	}
+}
+
+// TestShutdownUnstartedProcs: a process spawned for a future instant whose
+// start event never fires is retired by Shutdown without its body running —
+// on a fresh worker, on a reused pooled worker, and unpooled.
+func TestShutdownUnstartedProcs(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		pooled, reuse bool
+	}{
+		{"fresh", true, false},
+		{"reused", true, true},
+		{"unpooled", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel()
+			k.SetSpawnPooling(tc.pooled)
+			if tc.reuse {
+				// One short-lived process parks its worker on the free list.
+				k.Spawn("short", func(p *Proc) { p.Wait(Millisecond) })
+				k.Run(5 * Millisecond)
+			}
+			for i := 0; i < 3; i++ {
+				k.SpawnAt(Second, "late", func(p *Proc) { t.Error("unstarted process ran") })
+			}
+			k.Run(10 * Millisecond)
+			wantReuses := int64(0)
+			if tc.reuse {
+				wantReuses = 1
+			}
+			if got := k.Stats().SpawnReuses; got != wantReuses {
+				t.Fatalf("SpawnReuses = %d, want %d", got, wantReuses)
+			}
+			if k.Live() != 3 {
+				t.Fatalf("Live = %d before Shutdown, want 3", k.Live())
+			}
+			k.Shutdown()
+			requireRetired(t, k)
+			requireGoroutinesBack(t, before)
+		})
 	}
 }
 

@@ -1,52 +1,60 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is the handle a simulated process uses to interact with the kernel.
-// A process is an ordinary function running on a kernel-owned goroutine;
-// every blocking operation (Wait, Server.Use, Store.Get, Chan.Get, ...)
-// suspends the process and transfers dispatch to the kernel, which resumes
-// it when the corresponding event fires. Exactly one process runs at any
-// instant.
+// A process is an ordinary function running on a kernel-owned coroutine
+// (iter.Pull); every blocking operation (Wait, Server.Use, Store.Get,
+// Chan.Get, ...) suspends the process and transfers dispatch to the kernel,
+// which resumes it when the corresponding event fires. Exactly one process
+// runs at any instant, and switching between processes is a runtime
+// coroutine switch: no run queue, no channel, no futex.
 //
-// Suspension does not necessarily suspend the goroutine: with the
+// Suspension does not necessarily suspend the coroutine: with the
 // continuation fast path (Kernel.SetInlineDispatch, on by default) a
 // blocking process keeps dispatching events in its own context — run-fn
 // events execute inline, its own resume event simply returns control, and
-// only another process's resume costs a goroutine switch (a direct
-// process-to-process handoff). An uncontended timed hold — Wait after an
-// immediate Acquire, Server.Use on a free station — therefore runs entirely
-// switch-free when no other process has an intervening turn.
+// only another process's resume costs a switch (the process yields to the
+// root Run loop, which resumes the other process at once). An uncontended
+// timed hold — Wait after an immediate Acquire, Server.Use on a free
+// station — therefore runs entirely switch-free when no other process has
+// an intervening turn.
 //
-// Goroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
-// that returns parks its worker goroutine on the kernel's free list instead
-// of exiting, and the next Spawn reuses it — identity fields (ID, Name, Arg)
+// Coroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
+// that returns parks its worker on the kernel's free list instead of
+// exiting, and the next Spawn reuses it — identity fields (ID, Name, Arg)
 // are reset on reuse, so spawning is allocation-free in steady state and the
-// goroutine count is bounded by the peak number of live processes, not by
+// coroutine count is bounded by the peak number of live processes, not by
 // the total number ever spawned.
 type Proc struct {
 	k       *Kernel
 	id      int64
 	name    string
-	resume  chan struct{}
 	done    bool
 	arg     int64
-	w       *worker // owning pooled worker; nil for unpooled processes
+	w       *worker // the coroutine running this process
 	liveIdx int     // index in Kernel.procs while live
 }
 
-// worker is a pooled process goroutine: a parked goroutine plus the Proc
-// whose identity it lends to successive spawns. fn holds the next body
-// between assignment (Spawn) and execution (first resume); it is nil while
-// the worker is parked on the free list.
+// worker is a process coroutine plus the Proc whose identity it lends to
+// successive spawns. fn holds the next body between assignment (spawn) and
+// execution (first resume). Only the root Run loop and Shutdown call next
+// and stop; inside the coroutine, yield suspends it and reports false once
+// stop has been called.
 type worker struct {
-	proc Proc
-	fn   func(*Proc)
+	proc  Proc
+	fn    func(*Proc)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
-// killSentinel is the panic payload Shutdown injects into a blocked process
-// to unwind its goroutine; runBody recovers exactly this type and re-panics
-// everything else.
+// killSentinel is the panic payload a stopped yield raises in a blocked
+// process to unwind its coroutine; runBody recovers exactly this type and
+// re-panics everything else.
 type killSentinel struct{}
 
 // runBody executes a process body, absorbing the Shutdown kill sentinel so
@@ -66,67 +74,38 @@ func runBody(p *Proc, fn func(*Proc)) (killed bool) {
 	return false
 }
 
-// newWorker starts a pooled worker goroutine. The loop runs one process
-// body per resume cycle: a finishing body parks the worker on the kernel
-// free list and hands the ball to the root loop; a nil fn on wake means the
-// pool is being dismissed (ReleaseWorkers adjusts the counters); a wake
-// with killing set is a Shutdown kill arriving before the start event.
+// newWorker creates a process coroutine; it starts at its first resume. The
+// loop runs one process body per resume cycle. A finishing body retires
+// its process and then either parks the worker on the kernel free list
+// until a spawn reuses it or, with pooling off, ends the coroutine. A
+// stopped coroutine (Shutdown, ReleaseWorkers) ends without running
+// another body, and whoever stopped it owns the coroutine counter.
 func (k *Kernel) newWorker() *worker {
 	w := &worker{}
 	w.proc.k = k
-	// resume has capacity 1 for the same reason as Kernel.yield: the
-	// handoff send completes without blocking, halving the synchronization
-	// cost of a process switch. Between a handoff send and the matching
-	// receive neither side touches simulation state, so the brief overlap
-	// is race-free — and the same edge orders the spawner's writes to
-	// w.fn and the Proc identity fields before the worker reads them.
-	w.proc.resume = make(chan struct{}, 1)
 	w.proc.w = w
 	k.goroutines++
-	go func() {
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
 		for {
-			<-w.proc.resume
 			fn := w.fn
-			if fn == nil {
-				// Dismissed from the free list; the dismisser owns the
-				// goroutine counter, so touch nothing.
-				return
-			}
 			w.fn = nil
-			p := &w.proc
-			if k.killing {
-				// Killed between spawn and the start event: the body
-				// never ran, just retire the process.
-				k.finishProc(p)
-				k.goroutines--
-				k.yield <- struct{}{}
-				return
-			}
-			killed := runBody(p, fn)
-			k.finishProc(p)
+			killed := runBody(&w.proc, fn)
+			k.finishProc(&w.proc)
 			if killed {
-				k.goroutines--
-				k.yield <- struct{}{}
 				return
 			}
-			// Park for reuse, then hand the ball to the root loop.
+			if !k.pooling {
+				k.goroutines--
+				return
+			}
 			k.freeW = append(k.freeW, w)
-			k.yield <- struct{}{}
+			if !yield(struct{}{}) {
+				return
+			}
 		}
-	}()
+	})
 	return w
-}
-
-// runUnpooled is the body wrapper of a non-pooled process goroutine
-// (SetSpawnPooling(false)): one spawn, one goroutine, exit on return.
-func (k *Kernel) runUnpooled(p *Proc, fn func(*Proc)) {
-	<-p.resume
-	if !k.killing {
-		runBody(p, fn)
-	}
-	k.finishProc(p)
-	k.goroutines--
-	k.yield <- struct{}{}
 }
 
 // finishProc retires a returning (or killed) process: marks it done and
@@ -163,25 +142,18 @@ func (k *Kernel) SpawnArg(name string, arg int64, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	var p *Proc
-	if k.pooling {
-		var w *worker
-		if n := len(k.freeW); n > 0 {
-			w = k.freeW[n-1]
-			k.freeW[n-1] = nil
-			k.freeW = k.freeW[:n-1]
-			k.spawnReuses++
-		} else {
-			w = k.newWorker()
-		}
-		w.fn = fn
-		p = &w.proc
-		p.done = false
+	var w *worker
+	if n := len(k.freeW); k.pooling && n > 0 {
+		w = k.freeW[n-1]
+		k.freeW[n-1] = nil
+		k.freeW = k.freeW[:n-1]
+		k.spawnReuses++
 	} else {
-		p = &Proc{k: k, resume: make(chan struct{}, 1)}
-		k.goroutines++
-		go k.runUnpooled(p, fn)
+		w = k.newWorker()
 	}
+	w.fn = fn
+	p := &w.proc
+	p.done = false
 	p.id = k.procSeq
 	p.name = name
 	p.arg = arg
@@ -198,36 +170,19 @@ func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 //
 // Fast path: the blocking process becomes the dispatcher. It pops events in
 // exactly the (time, seq) order the root loop would, runs fn events inline,
-// and returns the moment its own resume event comes up — zero goroutine
-// switches. A resume event for another process transfers the ball directly
-// to that process (one switch; the old park/resume pair cost two). Draining
-// the horizon yields the ball to the root Run loop, which then returns to
-// its caller. Because the fast path dispatches the identical event sequence
-// a parked process would have had dispatched on its behalf, simulation
-// results are bit-identical with the fast path on or off.
+// and returns the moment its own resume event comes up — zero switches. A
+// resume event for another process is recorded as the kernel's handoff and
+// the process yields: the root loop's switchTo resumes the named process at
+// once. Draining the horizon yields with no handoff, so Run returns. With
+// the fast path off (parked mode) every block simply yields and the root
+// loop dispatches. Both modes dispatch the identical event sequence, so
+// simulation results are bit-identical with the fast path on or off.
 func (p *Proc) block() {
 	k := p.k
-	if !k.inline {
-		// Legacy path: park the goroutine, let the root loop dispatch.
-		k.yield <- struct{}{}
-		<-p.resume
-		if k.killing {
-			panic(killSentinel{})
-		}
-		return
-	}
-	for {
+	for k.inline {
 		e := k.next(k.horizon)
 		if e == nil {
-			// Nothing left at or before the horizon: give the ball back
-			// to the root loop (Run returns) and sleep until a later Run
-			// dispatches our resume event.
-			k.yield <- struct{}{}
-			<-p.resume
-			if k.killing {
-				panic(killSentinel{})
-			}
-			return
+			break
 		}
 		if q := e.p; q != nil {
 			k.freeEvent(e)
@@ -236,22 +191,17 @@ func (p *Proc) block() {
 				k.inlineWakes++
 				return
 			}
-			if q.done {
-				panic(fmt.Sprintf("sim: resuming finished process %q", q.name))
-			}
-			// Another process's turn: direct handoff, then sleep until
-			// some ball holder dispatches our resume event.
-			k.handoffs++
-			q.resume <- struct{}{}
-			<-p.resume
-			if k.killing {
-				panic(killSentinel{})
-			}
-			return
+			k.handoff = q
+			break
 		}
 		fn := e.fn
 		k.freeEvent(e)
 		fn()
+	}
+	// Sleep until a dispatcher resumes us; a stopped yield is Shutdown
+	// killing the process at this block point.
+	if !p.w.yield(struct{}{}) {
+		panic(killSentinel{})
 	}
 }
 
@@ -296,7 +246,7 @@ func (p *Proc) Arg() int64 { return p.arg }
 // Wait suspends the process for d of simulated time. This is the simulator's
 // dominant primitive (every timed hold is a Wait); on the continuation fast
 // path an undisturbed Wait costs one calendar insert and one extract, with
-// no goroutine switch.
+// no coroutine switch.
 func (p *Proc) Wait(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q waiting negative duration %v", p.name, d))

@@ -1,5 +1,5 @@
 // Package sim provides a deterministic, process-oriented discrete-event
-// simulation kernel. Each simulated process is a goroutine, but the kernel
+// simulation kernel. Each simulated process is a coroutine, but the kernel
 // runs exactly one process at a time and orders all wake-ups on a single
 // event calendar keyed by (time, sequence), so simulations are reproducible
 // bit-for-bit for a given seed.
