@@ -5,7 +5,7 @@ package dynlb
 // point per series at quick scale and reporting the paper's metrics
 // (response time, achieved degree, utilizations) via b.ReportMetric. The
 // full parameter sweeps behind the figures are regenerated by
-// cmd/experiments (same code path, RunFigure).
+// cmd/experiments (same code path, an Experiment over a Figure).
 //
 // Absolute times are not expected to match the 1995 testbed; the shapes —
 // who wins, by what factor, where the crossovers fall — are recorded

@@ -56,9 +56,7 @@
 // derives the standard seed stream (replicate 0 is the base seed; further
 // replicates come from a splitmix64 stream, independent of worker count).
 //
-// Rows serialize with WriteRowsCSV and WriteRowsJSON. The pre-Experiment
-// entry points (RunFigure*, RunReplicated*, Compare*) remain as thin
-// deprecated wrappers with bit-identical output.
+// Rows serialize with WriteRowsCSV and WriteRowsJSON.
 package dynlb
 
 import (

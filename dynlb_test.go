@@ -1,6 +1,7 @@
 package dynlb
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,16 +122,13 @@ func TestFiguresListAndDocs(t *testing.T) {
 			t.Errorf("figure %s has no doc", f)
 		}
 	}
-	if _, err := RunFigure("nope", ScaleQuick, 1); err == nil {
+	if _, err := NewExperiment(Figure("nope")).Run(context.Background()); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
 
 func TestRunFigure1aQuick(t *testing.T) {
-	rows, err := RunFigure("1a", ScaleQuick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, "1a", WithSeed(1), WithWorkers(1))
 	var analytic, simulated int
 	for _, r := range rows {
 		switch r.Series {
@@ -162,14 +160,8 @@ func TestRunFigureDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	a, err := RunFigure("1a", ScaleQuick, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFigure("1a", ScaleQuick, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := figureRows(t, "1a", WithSeed(7), WithWorkers(1))
+	b := figureRows(t, "1a", WithSeed(7), WithWorkers(1))
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}

@@ -91,7 +91,7 @@ type expOptions struct {
 	windowSet  bool
 	faults     FaultPlan
 	faultsSet  bool
-	dist       Executor
+	exec       Executor
 }
 
 // Option configures an Experiment.
@@ -111,9 +111,11 @@ func WithSeed(seed int64) Option {
 	return func(e *Experiment) { e.o.seed = seed; e.o.seedSet = true }
 }
 
-// WithWorkers caps the number of concurrent simulations (<= 0 means
-// runtime.NumCPU, the default). Every job runs an independent kernel and
-// RNG, so the worker count never changes the rows.
+// WithWorkers caps the number of concurrent simulations of the in-process
+// worker pool (<= 0 means runtime.NumCPU, the default). Every job runs an
+// independent kernel and RNG, so the worker count never changes the rows.
+// An executor given to WithDistributed owns its parallelism and ignores
+// this option.
 func WithWorkers(n int) Option {
 	return func(e *Experiment) { e.o.workers = n }
 }
@@ -194,13 +196,15 @@ func WithMetricsWindow(width Duration) Option {
 	return func(e *Experiment) { e.o.window = width; e.o.windowSet = true }
 }
 
-// Executor is an external execution backend for a compiled Plan; the
-// distributed coordinator in internal/dist is the canonical implementation.
-// Run calls ExecutePlan after it has emitted the plan's dependency-free
-// Start rows; the executor must then run every physical job — locally,
-// remotely, in any order and at any parallelism — feed completions back
-// through SetJobResult/Complete (serialized, per the Plan contract), and
-// forward each batch of newly emittable rows to deliver in the order
+// Executor runs the physical jobs of a compiled Plan. Every Run goes
+// through one: by default the in-process worker pool sized by WithWorkers,
+// or the executor given to WithDistributed (the distributed coordinator in
+// internal/dist is the canonical external one). Run calls ExecutePlan
+// after it has emitted the plan's dependency-free Start rows; the executor
+// must then run every physical job — locally, remotely, in any order and
+// at any parallelism — feed completions back through
+// RunJob/SetJobResult and Complete (serialized, per the Plan contract),
+// and forward each batch of newly emittable rows to deliver in the order
 // Complete returned them. Because every job is a pure function of its
 // (Config, Strategy) pair, any executor that simulates the jobs faithfully
 // yields rows bit-identical to the in-process pool.
@@ -212,11 +216,12 @@ type Executor interface {
 // executor — typically a dist.Coordinator sharding slot ranges across
 // remote workers — instead of the in-process worker pool. Row identity is
 // unaffected: rows arrive in the same deterministic order with the same
-// bytes at any worker count or placement. WithWorkers only shapes the
-// executor's local fallback (if it has one); WithProgress streams rows
-// exactly as in local execution.
+// bytes at any worker count or placement. The executor owns its
+// parallelism, so WithWorkers does not apply (configure the executor's
+// own local fallback instead, e.g. dist.Options.LocalWorkers); WithProgress
+// streams rows exactly as in local execution.
 func WithDistributed(x Executor) Option {
-	return func(e *Experiment) { e.o.dist = x }
+	return func(e *Experiment) { e.o.exec = x }
 }
 
 // WithProgress streams every completed row to fn. Rows arrive in their
@@ -256,6 +261,11 @@ type slot struct {
 // Cancelling ctx stops the sweep promptly: no new simulations start and Run
 // returns ctx.Err without waiting for in-flight points (each simulated
 // point is indivisible and finishes in the background).
+//
+// Every backend takes the same path: Run emits the plan's Start rows, hands
+// the plan to the Executor (the WithDistributed one, or the in-process
+// worker pool by default), and checks that the executor completed every
+// row.
 func (e *Experiment) Run(ctx context.Context) ([]Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -264,20 +274,18 @@ func (e *Experiment) Run(ctx context.Context) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.o.dist != nil {
-		return e.executeDist(ctx, p)
-	}
-	return e.execute(ctx, p)
-}
-
-// executeDist hands the plan's jobs to the WithDistributed executor,
-// keeping Run's own obligations — the cancelled-context gate, the Start
-// rows, progress streaming and full-completion checking — identical to
-// local execution.
-func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
+	// A cancelled context delivers nothing: without this gate the Start
+	// below would stream dependency-free rows (e.g. Fig. 1a's analytic
+	// curve) that the nil return then disowns.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	x := e.o.exec
+	if x == nil {
+		x = localPool{workers: e.o.workers}
+	}
+	// deliver appends a completed batch and streams it to WithProgress, so
+	// the progress stream is a deterministic prefix of the final row slice.
 	out := make([]Row, 0, p.NumRows())
 	deliver := func(rows []Row) {
 		for _, r := range rows {
@@ -287,16 +295,16 @@ func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
 			}
 		}
 	}
-	first, err := p.Start()
+	first, err := p.Start() // rows with no simulation deps
 	if err != nil {
 		return nil, err
 	}
 	deliver(first)
-	if err := e.o.dist.ExecutePlan(ctx, p, deliver); err != nil {
+	if err := x.ExecutePlan(ctx, p, deliver); err != nil {
 		return nil, err
 	}
 	if !p.Done() {
-		return nil, fmt.Errorf("dynlb: distributed executor returned without completing every row (%d of %d emitted)", len(out), p.NumRows())
+		return nil, fmt.Errorf("dynlb: executor returned without completing every row (%d of %d emitted)", len(out), p.NumRows())
 	}
 	return out, nil
 }
@@ -304,8 +312,8 @@ func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
 // Plan validates the experiment and compiles it into its executable
 // schedule: the physical simulation jobs (every sweep point expanded
 // through the replication/comparison stages) plus the slot and row
-// bookkeeping folding job outcomes back into Rows. Run drives a Plan on
-// its own worker pool; external schedulers (e.g. internal/service, which
+// bookkeeping folding job outcomes back into Rows. Run drives a Plan
+// through an Executor; external schedulers (e.g. internal/service, which
 // multiplexes many experiments over one shared pool) drive it directly:
 //
 //	p, err := exp.Plan()
@@ -661,19 +669,17 @@ func (e *Experiment) expandCompared(seed int64) ([]runJob, []slot, []rowSpec, er
 	return jobs, slots, rows, nil
 }
 
-// execute drives the plan on the experiment's own worker pool, folding
-// completed slots into point outcomes and streaming rows in order as their
-// dependencies complete. Workers claim jobs from an atomic counter and
-// report completions over a buffered channel, so abandoning the sweep (ctx
-// cancelled, job error) never blocks an in-flight worker.
-func (e *Experiment) execute(ctx context.Context, p *Plan) ([]Row, error) {
-	// A cancelled context delivers nothing: without this gate the Start
-	// below would stream dependency-free rows (e.g. Fig. 1a's analytic
-	// curve) that the nil return then disowns.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	workers := e.o.workers
+// localPool is the in-process Executor, Run's default backend: up to
+// workers concurrent simulations (<= 0 means runtime.NumCPU). Workers
+// claim jobs from an atomic counter and report completions over a buffered
+// channel, so abandoning the sweep (ctx cancelled, job error) never blocks
+// an in-flight worker; completions fold into rows on the caller's
+// goroutine.
+type localPool struct{ workers int }
+
+// ExecutePlan implements Executor.
+func (l localPool) ExecutePlan(ctx context.Context, p *Plan, deliver func([]Row)) error {
+	workers := l.workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -686,7 +692,6 @@ func (e *Experiment) execute(ctx context.Context, p *Plan) ([]Row, error) {
 		failed = make(chan error, workers+1)
 		next   atomic.Int64
 		stop   atomic.Bool
-		out    = make([]Row, 0, p.NumRows())
 	)
 	next.Store(-1)
 	for w := 0; w < workers; w++ {
@@ -705,45 +710,29 @@ func (e *Experiment) execute(ctx context.Context, p *Plan) ([]Row, error) {
 			}
 		}()
 	}
-	// deliver appends a completed batch and streams it to WithProgress, so
-	// the progress stream is a deterministic prefix of the final row slice.
-	deliver := func(rows []Row) {
-		for _, r := range rows {
-			out = append(out, r)
-			if e.o.progress != nil {
-				e.o.progress(r)
-			}
-		}
-	}
-	first, err := p.Start() // rows with no simulation deps
-	if err != nil {
-		stop.Store(true)
-		return nil, err
-	}
-	deliver(first)
 	for completed := 0; completed < p.NumJobs(); {
 		// Re-check cancellation first: when both a completion and Done are
 		// ready, select picks randomly, and a cancelled sweep must not keep
 		// draining completions.
 		if err := ctx.Err(); err != nil {
 			stop.Store(true)
-			return nil, err
+			return err
 		}
 		select {
 		case <-ctx.Done():
 			stop.Store(true)
-			return nil, ctx.Err()
+			return ctx.Err()
 		case err := <-failed:
-			return nil, err
+			return err
 		case i := <-done:
 			completed++
 			rows, err := p.Complete(i)
 			if err != nil {
 				stop.Store(true)
-				return nil, err
+				return err
 			}
 			deliver(rows)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden CSV files under testdata/")
 
 // Golden-row regression tests: the quick-scale fig1a and fig6 sweeps (seed
-// 1, reps 1) and the fig8 paired-comparison sweep (seed 1, reps 2) are
+// 1, reps 1) and the fig8 paired-comparison sweep (seed 1, reps 3) are
 // locked as exact CSV bytes. Any kernel, engine, cost model, statistics or
 // row-shaping change that moves a reproduced curve — even in the last
 // decimal — fails here and must either be fixed or explicitly re-golded
@@ -72,11 +72,7 @@ func lockGolden(t *testing.T, file string, rows []Row) {
 func goldenSweep(t *testing.T, fig, file string) {
 	t.Helper()
 	skipUnlessGoldenArch(t)
-	rows, err := RunFigureReplicated(fig, ScaleQuick, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockGolden(t, file, rows)
+	lockGolden(t, file, figureRows(t, fig, WithSeed(1)))
 }
 
 // diffLines renders the first few differing lines of two CSV bodies.
@@ -120,20 +116,13 @@ func TestGoldenFig6Quick(t *testing.T) {
 }
 
 // TestGoldenFig8CompareQuick locks the paired-comparison CSV shape and
-// bytes: Fig. 8's workload axis swept under psu-opt+RANDOM (the paper's
-// baseline) vs OPT-IO-CPU with three shared replicate seeds — replication
-// plus comparison columns in one file. Three replicates, not two: with
-// n=2 any non-constant pair has sample correlation exactly ±1, so the
-// locked rt_corr values would be degenerate rather than evidence of the
-// variance reduction.
+// bytes of the shared Fig. 8 compared sweep (fig8ComparedRows, its NumCPU
+// run): replication plus comparison columns in one file.
 func TestGoldenFig8CompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep")
 	}
 	skipUnlessGoldenArch(t)
-	rows, err := RunFigureCompared("8", ScaleQuick, 1, "psu-opt+RANDOM", "OPT-IO-CPU", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockGolden(t, "fig8_compare_quick.csv", rows)
+	_, par := fig8ComparedRows(t)
+	lockGolden(t, "fig8_compare_quick.csv", par)
 }

@@ -147,6 +147,8 @@ func TestExperimentRequestValidation(t *testing.T) {
 		{"bad profile axis", `{"sweep": {"strategies": ["MIN-IO"],
 			"axes": [{"name": "p", "profiles": ["wavy:amp=2"]}]}}`, "profile"},
 		{"one compare name", `{"figure": "6", "compare": ["MIN-IO"]}`, "compare wants"},
+		{"bad compare baseline", `{"figure": "8", "compare": ["bogus", "OPT-IO-CPU"]}`, "unknown strategy"},
+		{"bad compare challenger", `{"figure": "8", "compare": ["MIN-IO", "bogus"]}`, "unknown strategy"},
 		{"bad window", `{"figure": "6", "window": "soon"}`, "window"},
 		{"bad request profile", `{"figure": "6", "profile": "bursty"}`, "profile"},
 		{"reps and seeds", `{"figure": "6", "reps": 3, "seeds": [1, 2]}`, "mutually exclusive"},

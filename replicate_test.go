@@ -1,6 +1,7 @@
 package dynlb
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -78,10 +79,12 @@ func TestRunReplicatedExtendsSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunReplicated(cfg, st, ReplicateSeeds(cfg.Seed, 3))
+	rows, err := NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{st}},
+		WithSeeds(ReplicateSeeds(cfg.Seed, 3)...), WithRuns()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := rows[0]
 	if len(rep.Runs) != 3 || rep.Rep.Reps != 3 || rep.Rep.Conf != DefaultConfidence {
 		t.Fatalf("replication shape: %d runs, rep %+v", len(rep.Runs), rep.Rep)
 	}
@@ -94,30 +97,11 @@ func TestRunReplicatedExtendsSingleRun(t *testing.T) {
 		lo = math.Min(lo, r.JoinRT.MeanMS)
 		hi = math.Max(hi, r.JoinRT.MeanMS)
 	}
-	if rep.Mean.JoinRT.MeanMS < lo || rep.Mean.JoinRT.MeanMS > hi {
-		t.Errorf("mean RT %v outside replicate range [%v, %v]", rep.Mean.JoinRT.MeanMS, lo, hi)
+	if rep.Res.JoinRT.MeanMS < lo || rep.Res.JoinRT.MeanMS > hi {
+		t.Errorf("mean RT %v outside replicate range [%v, %v]", rep.Res.JoinRT.MeanMS, lo, hi)
 	}
-	if rep.Rep.JoinRTMS.Mean != rep.Mean.JoinRT.MeanMS {
-		t.Errorf("Rep mean %v != Mean results %v", rep.Rep.JoinRTMS.Mean, rep.Mean.JoinRT.MeanMS)
-	}
-}
-
-func TestRunReplicatedRejectsBadArgs(t *testing.T) {
-	cfg := quickConfig()
-	st := MustStrategy("MIN-IO")
-	if _, err := RunReplicated(cfg, st, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-	if _, err := RunReplicatedConf(cfg, st, []int64{1, 2}, 1.5); err == nil {
-		t.Error("confidence 1.5 accepted")
-	}
-	if _, err := RunReplicatedConf(cfg, st, []int64{1, 2}, 0); err == nil {
-		t.Error("confidence 0 accepted")
-	}
-	bad := cfg
-	bad.NPE = 0
-	if _, err := RunReplicated(bad, st, []int64{1}); err == nil {
-		t.Error("invalid config accepted")
+	if rep.Rep.JoinRTMS.Mean != rep.Res.JoinRT.MeanMS {
+		t.Errorf("Rep mean %v != Mean results %v", rep.Rep.JoinRTMS.Mean, rep.Res.JoinRT.MeanMS)
 	}
 }
 
