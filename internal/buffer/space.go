@@ -85,7 +85,7 @@ func (s *Space) Acquire(p *sim.Proc, desired int) int {
 // the pool is short. It returns the number granted (possibly 0). This is
 // the high-priority path: OLTP private workspaces take their frames ahead
 // of queued join reservations (the paper's OLTP memory priority).
-func (s *Space) AcquireBestEffort(p *sim.Proc, n int) int {
+func (s *Space) AcquireBestEffort(n int) int {
 	if s.closed {
 		panic(fmt.Sprintf("buffer: acquire on closed space %s", s.name))
 	}

@@ -63,6 +63,8 @@ type Subsystem struct {
 	// fault-free runs stay bit-identical.
 	slow float64
 
+	freeOps []*ioOp // recycled continuation ops
+
 	reads     int64
 	writes    int64
 	cacheHits int64
@@ -119,52 +121,106 @@ func (s *Subsystem) DiskFor(space int64) int {
 	return int(space % int64(len(s.disks)))
 }
 
+// ioOp is one page operation under the subsystem's I/O model: a controller
+// hold (a cache hit's whole service), then on a miss or a write a disk-arm
+// hold and a transfer hold at the controller, after which pages pages from
+// pg enter the cache. Durations are unstretched: each hold applies the
+// slowdown in force when it starts. The blocking calls run an op in the
+// calling process; ReadFn and WriteAsync run a pooled op through
+// Server.UseFn with step funcs bound once, so they allocate nothing in
+// steady state and their events land where the blocking form's would.
+type ioOp struct {
+	s                  *Subsystem
+	hit                bool
+	ctrl, access, xfer sim.Duration
+	dsk, pages         int
+	pg                 PageID
+	then               func(hit bool) // continuation; nil for background writes
+
+	write, toDisk, toXfer, end func()
+}
+
+// read counts a page read and plans it: a cache hit is one controller hold
+// of control plus transfer; a miss reads Prefetch pages (sequential) or one
+// page with a single arm operation.
+func (op *ioOp) read(pg PageID, sequential bool) *ioOp {
+	s, par := op.s, &op.s.params
+	s.reads++
+	op.pg, op.hit = pg, s.cache != nil && s.cache.get(pg)
+	if op.hit {
+		s.cacheHits++
+		op.ctrl = par.CtrlPerPage + par.TransferPerPage
+		return op
+	}
+	op.pages = 1
+	if sequential && par.Prefetch > 1 {
+		op.pages = par.Prefetch
+	}
+	s.physReads++
+	op.ctrl, op.xfer = par.CtrlPerPage, par.TransferPerPage
+	op.access = par.AvgAccess + sim.Duration(op.pages)*par.PrefetchPerPage
+	return op
+}
+
+// writeRun counts and plans a write of n consecutive pages: controller and
+// transfer per page, one arm access plus the per-page sequential delay.
+func (op *ioOp) writeRun(pg PageID, n int) *ioOp {
+	par := &op.s.params
+	op.s.writes += int64(n)
+	op.pg, op.pages, op.hit = pg, n, false
+	op.ctrl, op.xfer = sim.Duration(n)*par.CtrlPerPage, sim.Duration(n)*par.TransferPerPage
+	op.access = par.AvgAccess + sim.Duration(n)*par.PrefetchPerPage
+	return op
+}
+
+// run executes op in the calling process and reports a cache hit.
+func (op *ioOp) run(p *sim.Proc) bool {
+	s := op.s
+	s.ctrl.Use(p, s.stretch(op.ctrl))
+	if !op.hit {
+		s.disk(op.dsk).Use(p, s.stretch(op.access))
+		s.ctrl.Use(p, s.stretch(op.xfer))
+		op.fill()
+	}
+	return op.hit
+}
+
+// fill enters a completed miss or write into the controller cache.
+func (op *ioOp) fill() {
+	for i := 0; op.s.cache != nil && i < op.pages; i++ {
+		op.s.cache.put(PageID{Space: op.pg.Space, Page: op.pg.Page + int64(i)})
+	}
+}
+
 // Read performs a synchronous page read by the calling process.
 // sequential enables prefetching on a cache miss. It reports whether the
 // page was served from the controller cache.
 func (s *Subsystem) Read(p *sim.Proc, dsk int, pg PageID, sequential bool) bool {
-	s.reads++
-	if s.cache != nil && s.cache.get(pg) {
-		s.cacheHits++
-		s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage+s.params.TransferPerPage))
-		return true
-	}
-	n := 1
-	if sequential && s.params.Prefetch > 1 {
-		n = s.params.Prefetch
-	}
-	s.physReads++
-	s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage))
-	access := s.stretch(s.params.AvgAccess + sim.Duration(n)*s.params.PrefetchPerPage)
-	s.disk(dsk).Use(p, access)
-	s.ctrl.Use(p, s.stretch(s.params.TransferPerPage))
-	if s.cache != nil {
-		for i := 0; i < n; i++ {
-			s.cache.put(PageID{Space: pg.Space, Page: pg.Page + int64(i)})
-		}
-	}
-	return false
+	op := ioOp{s: s, dsk: dsk}
+	return op.read(pg, sequential).run(p)
+}
+
+// ReadFn is Read for run-to-completion light processes (sim.Kernel.SpawnFn):
+// the same holds run through Server.UseFn, then then(hit) continues the
+// caller where Read would have returned.
+func (s *Subsystem) ReadFn(dsk int, pg PageID, sequential bool, then func(hit bool)) {
+	s.newOp(dsk, then).read(pg, sequential).start()
 }
 
 // Write performs a synchronous page write by the calling process. Written
 // pages are inserted into the controller cache (they are frequently re-read
 // shortly after, e.g. temporary join partitions).
 func (s *Subsystem) Write(p *sim.Proc, dsk int, pg PageID) {
-	s.writes++
-	s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage))
-	s.disk(dsk).Use(p, s.stretch(s.params.AvgAccess+s.params.PrefetchPerPage))
-	s.ctrl.Use(p, s.stretch(s.params.TransferPerPage))
-	if s.cache != nil {
-		s.cache.put(pg)
-	}
+	s.WriteRun(p, dsk, pg, 1)
 }
 
 // WriteAsync schedules a background page write that occupies the controller
 // and disk without blocking any process (used for no-force buffer flushes).
+// It runs as a light process and is planned when it starts, as Write is.
 func (s *Subsystem) WriteAsync(dsk int, pg PageID) {
-	s.k.Spawn("disk-write-async", func(p *sim.Proc) {
-		s.Write(p, dsk, pg)
-	})
+	op := s.newOp(dsk, nil)
+	op.pg = pg
+	s.k.SpawnFn(op.write)
 }
 
 // WriteRun writes n consecutive pages starting at pg with a single physical
@@ -173,17 +229,47 @@ func (s *Subsystem) WriteAsync(dsk int, pg PageID) {
 // Written pages enter the controller cache — temporary partitions are
 // typically re-read shortly after.
 func (s *Subsystem) WriteRun(p *sim.Proc, dsk int, pg PageID, n int) {
-	if n < 1 {
-		return
+	if n >= 1 {
+		op := ioOp{s: s, dsk: dsk}
+		op.writeRun(pg, n).run(p)
 	}
-	s.writes += int64(n)
-	s.ctrl.Use(p, s.stretch(sim.Duration(n)*s.params.CtrlPerPage))
-	s.disk(dsk).Use(p, s.stretch(s.params.AvgAccess+sim.Duration(n)*s.params.PrefetchPerPage))
-	s.ctrl.Use(p, s.stretch(sim.Duration(n)*s.params.TransferPerPage))
-	if s.cache != nil {
-		for i := 0; i < n; i++ {
-			s.cache.put(PageID{Space: pg.Space, Page: pg.Page + int64(i)})
-		}
+}
+
+// newOp takes a continuation op from the pool.
+func (s *Subsystem) newOp(dsk int, then func(bool)) *ioOp {
+	var op *ioOp
+	if n := len(s.freeOps); n > 0 {
+		op = s.freeOps[n-1]
+		s.freeOps = s.freeOps[:n-1]
+	} else {
+		op = &ioOp{s: s}
+		op.write = func() { op.writeRun(op.pg, 1).start() }
+		op.toDisk = func() { s.disk(op.dsk).UseFn(s.stretch(op.access), op.toXfer) }
+		op.toXfer = func() { s.ctrl.UseFn(s.stretch(op.xfer), op.end) }
+		op.end = op.finish
+	}
+	op.dsk, op.then = dsk, then
+	return op
+}
+
+func (op *ioOp) start() {
+	next := op.toDisk
+	if op.hit {
+		next = op.end
+	}
+	op.s.ctrl.UseFn(op.s.stretch(op.ctrl), next)
+}
+
+// finish completes op as run does, recycles it and continues the caller.
+func (op *ioOp) finish() {
+	if !op.hit {
+		op.fill()
+	}
+	then, hit := op.then, op.hit
+	op.then = nil
+	op.s.freeOps = append(op.s.freeOps, op)
+	if then != nil {
+		then(hit)
 	}
 }
 
@@ -261,19 +347,24 @@ func (l *lru) get(id PageID) bool {
 	return true
 }
 
+// put makes id the most recent page. A full cache evicts its least recent
+// page first and reuses that node for id.
 func (l *lru) put(id PageID) {
 	if n, ok := l.items[id]; ok {
 		l.moveFront(n)
 		return
 	}
-	n := &lruNode{id: id}
+	var n *lruNode
+	if len(l.items) >= l.cap {
+		n = l.tail
+		l.remove(n)
+		delete(l.items, n.id)
+		n.id = id
+	} else {
+		n = &lruNode{id: id}
+	}
 	l.items[id] = n
 	l.pushFront(n)
-	if len(l.items) > l.cap {
-		evict := l.tail
-		l.remove(evict)
-		delete(l.items, evict.id)
-	}
 }
 
 func (l *lru) pushFront(n *lruNode) {

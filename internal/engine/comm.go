@@ -70,6 +70,15 @@ func (s *System) sendData(p *sim.Proc, from, to int, tuples int64, deliver func(
 	s.net.Send(p, from, to, bytes, deliver)
 }
 
+// sendDataFn is sendData for run-to-completion light processes: sender
+// CPU, then wire, then `then` continues the caller where sendData would
+// have returned.
+func (s *System) sendDataFn(from, to int, tuples int64, deliver, then func()) {
+	s.pe(from).computeFn(s.cfg.Costs.SendMsg+s.copyInstr(tuples), func() {
+		s.net.SendFn(from, to, tuples*int64(s.cfg.TupleBytes), deliver, then)
+	})
+}
+
 // recvDataCPU charges the receiver-side cost of one data packet.
 func (s *System) recvDataCPU(p *sim.Proc, at int, tuples int64) {
 	s.pe(at).compute(p, s.cfg.Costs.RecvMsg+s.copyInstr(tuples))

@@ -53,6 +53,17 @@ func (pe *PE) compute(p *sim.Proc, instr int64) {
 	pe.cpu.Use(p, pe.stretchCPU(pe.sys.cfg.CPUTime(instr)))
 }
 
+// computeFn is compute for run-to-completion light processes: charge instr
+// instructions, then continue with fn. instr <= 0 skips the CPU exactly as
+// compute does.
+func (pe *PE) computeFn(instr int64, fn func()) {
+	if instr <= 0 {
+		fn()
+		return
+	}
+	pe.cpu.UseFn(pe.stretchCPU(pe.sys.cfg.CPUTime(instr)), fn)
+}
+
 // stretchCPU applies the straggler degradation factor to a CPU duration.
 // cpuSlow == 1 (the fault-free state) returns d untouched — no float
 // multiply, bit-identical.

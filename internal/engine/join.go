@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dynlb/internal/buffer"
 	"dynlb/internal/core"
 	"dynlb/internal/lock"
 	"dynlb/internal/pphj"
@@ -172,9 +173,7 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 	}
 	for i, ape := range q.aPEs {
 		s.sendCtl(p, coordPE, ape, func() {
-			s.k.Spawn(fmt.Sprintf("q%d/scanA%d", q.id, i), func(sp *sim.Proc) {
-				s.runScan(sp, q, s.pe(ape), true, i)
-			})
+			s.k.SpawnFn(newScan(q, s.pe(ape), true, i).run)
 		})
 	}
 
@@ -216,9 +215,7 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 	// Probing phase: start the B scans.
 	for i, bpe := range q.bPEs {
 		s.sendCtl(p, coordPE, bpe, func() {
-			s.k.Spawn(fmt.Sprintf("q%d/scanB%d", q.id, i), func(sp *sim.Proc) {
-				s.runScan(sp, q, s.pe(bpe), false, i)
-			})
+			s.k.SpawnFn(newScan(q, s.pe(bpe), false, i).run)
 		})
 	}
 	for done := 0; done < len(q.bPEs); {
@@ -376,30 +373,65 @@ func scanSpacePages(bufferPages int) int {
 	return pages
 }
 
-// runScan executes one scan subquery: a clustered-index selection over the
-// local fragment whose output is redistributed among the join processes.
-// The page loop charges its loop-invariant segments through pre-converted
-// costT durations (the per-page batch of tuple costs stays a compute call:
-// its count varies on the last page).
-func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx int) {
-	start := s.k.Now()
-	done := cmsgScanBDone
+// scan is one scan subquery: a clustered-index selection over the local
+// fragment whose output is redistributed among the join processes. It runs
+// as a run-to-completion light process (sim.Kernel.SpawnFn), a state
+// machine whose step funcs are bound once per scan: every hold goes through
+// a continuation primitive and each step resumes where the blocking loop
+// would have, so the scan's events land at the same (time, seq) positions a
+// process's would. Loop-invariant charges use pre-converted costT durations
+// (the per-page batch of tuple costs stays a computeFn call: its count
+// varies on the last page).
+type scan struct {
+	s        *System
+	q        *joinQuery
+	pe       *PE
+	fragIdx  int
+	start    sim.Time
+	done     cmsgKind // completion report
+	kind     jmsgKind // redistribution message
+	relSpace int64
+	space    *buffer.Space
+
+	match, remaining, sent int64 // matching tuples; tuples on unread pages; tuples apportioned
+	lvl, page, n           int64 // index level; next data page; tuples of the current page
+	tpp                    int64
+	bufs                   []int64 // output buffer per join process
+	rr, idx                int     // round-robin cursor; resume index of the weighted split and the flush
+	credit                 []float64
+
+	readNext, charge, split, leftovers, flush, report func()
+	read                                              func(hit bool)
+}
+
+func newScan(q *joinQuery, pe *PE, inner bool, fragIdx int) *scan {
+	sc := &scan{s: q.s, q: q, pe: pe, fragIdx: fragIdx, done: cmsgScanBDone, kind: jmsgProbe, relSpace: spaceRelB}
 	if inner {
-		done = cmsgScanADone
+		sc.done, sc.kind, sc.relSpace = cmsgScanADone, jmsgBuild, spaceRelA
 	}
-	if s.faults != nil && !s.faults.hostUp(pe.id) {
+	sc.readNext, sc.charge, sc.split = sc.readNextStep, sc.chargeStep, sc.splitStep
+	sc.leftovers, sc.flush, sc.report, sc.read = sc.leftoversStep, sc.flushStep, sc.reportStep, sc.readStep
+	return sc
+}
+
+// run is the light process body, started when the start message arrives.
+func (sc *scan) run() {
+	s := sc.s
+	sc.start = s.k.Now()
+	if s.faults != nil && !s.faults.hostUp(sc.pe.id) {
 		// The host crashed before the start message arrived. The failure
 		// detector synthesizes the completion report the coordinator is
 		// counting; the coordinator aborts at its next checkpoint.
-		q.coordMail.Put(cmsg{kind: done, from: pe.id})
+		sc.reportStep()
 		return
 	}
-	s.recvCtlCPU(p, pe.id) // start message
-	c := &s.cfg
-	ct := &s.ct
+	s.recvCtlCPUFn(sc.pe.id, sc.begin) // start message
+}
 
+func (sc *scan) begin() {
+	q, pe, c := sc.q, sc.pe, &sc.s.cfg
 	space := pe.buf.NewSpace(fmt.Sprintf("q%d/scan%d", q.id, pe.id), bufferQueryPriority, 0)
-	space.AcquireBestEffort(p, scanSpacePages(c.BufferPages))
+	space.AcquireBestEffort(scanSpacePages(c.BufferPages))
 	space.SetStealHandler(func(need int) int {
 		// Scan buffers shrink to one page under memory pressure.
 		give := space.Pages() - 1
@@ -412,126 +444,172 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 		space.Release(give)
 		return give
 	})
-	defer space.Close()
+	sc.space = space
 
-	relSpace := int64(spaceRelA)
+	// Long read lock on the fragment (released by the commit round). It is
+	// always free: no transaction takes X on a relation key.
+	if !pe.locks.TryLock(q.txn, lock.Key{Space: sc.relSpace, Item: 0}, lock.Shared) {
+		panic("engine: scan read lock would block")
+	}
 	total, nodes := c.ATuples, len(q.aPEs)
-	if !inner {
-		relSpace = spaceRelB
+	if sc.relSpace == spaceRelB {
 		total, nodes = c.BTuples, len(q.bPEs)
 	}
-	// Long read lock on the fragment (released by the commit round).
-	if err := pe.locks.Lock(p, q.txn, lock.Key{Space: relSpace, Item: 0}, lock.Shared); err != nil {
-		panic("engine: scan read lock aborted") // queries never deadlock: single S lock
-	}
+	sc.match = share(selTuples(total, c.ScanSelectivity), nodes, sc.fragIdx)
+	sc.remaining = sc.match
 
-	match := share(selTuples(total, c.ScanSelectivity), nodes, fragIdx)
-
-	// Index descent: root is memory-resident, inner levels come from the
-	// disk cache most of the time.
-	for lvl := int64(0); lvl < 2; lvl++ {
-		pg := pageID(spaceIndexBase-int64(pe.id), lvl)
-		if !pe.disks.Read(p, dataDiskFor(pe, lvl), pg, false) {
-			pe.computeT(p, ct.io)
-		}
-	}
-
-	// Read matching pages and redistribute by hash partitioning: one
-	// output buffer per join process, flushed when a packet fills and at
-	// scan end. With a high degree of parallelism most messages carry only
-	// partially filled packets — the redistribution overhead that grows
-	// with the degree of parallelism (Section 5.2).
+	// One output buffer per join process, flushed when a packet fills and
+	// at scan end. With a high degree of parallelism most messages carry
+	// only partially filled packets — the redistribution overhead that
+	// grows with the degree of parallelism (Section 5.2).
 	deg := q.dec.Degree()
-	kind := jmsgProbe
-	if inner {
-		kind = jmsgBuild
-	}
-	tpp := c.TuplesPerPacket()
-	bufs := make([]int64, deg)
-	sendBuf := func(idx int) {
-		n := bufs[idx]
-		if n == 0 {
-			return
-		}
-		bufs[idx] = 0
-		mail := q.joinMail[idx]
-		s.sendData(p, pe.id, q.dec.JoinPEs[idx], n, func() {
-			mail.Put(jmsg{kind: kind, tuples: n})
-		})
-	}
-	rr := (int(q.id) + fragIdx) % deg
-	credit := make([]float64, 0)
+	sc.tpp = c.TuplesPerPacket()
+	sc.bufs = make([]int64, deg)
+	sc.rr = (int(q.id) + sc.fragIdx) % deg
 	if q.weights != nil {
-		credit = make([]float64, deg)
+		sc.credit = make([]float64, deg)
 	}
-	var sent int64
-	var pageCursor int64
-	for remaining := match; remaining > 0; {
-		if s.faults != nil && s.faults.failedSince(pe.id, start) {
-			break // crashed mid-scan: stop doing real work
-		}
-		pg := pageID(relSpace*1_000_000-int64(fragIdx)*100_000, pageCursor)
-		if !pe.disks.Read(p, dataDiskFor(pe, pageCursor), pg, true) {
-			pe.computeT(p, ct.io)
-		}
-		pageCursor++
-		n := int64(c.Blocking)
-		if remaining < n {
-			n = remaining
-		}
-		remaining -= n
-		pe.compute(p, n*(c.Costs.ReadTuple+c.Costs.WriteTuple))
-		// The page's tuples hash-partition over the join processes —
-		// uniformly round-robin, or by the configured skew weights; full
-		// output buffers are transmitted immediately.
-		if q.weights == nil {
-			sent += n
-			for ; n > 0; n-- {
-				bufs[rr]++
-				if bufs[rr] >= tpp {
-					sendBuf(rr)
+	sc.readNextStep()
+}
+
+// readNextStep descends the index (the root is memory-resident, inner
+// levels come from the disk cache most of the time), then reads the
+// matching pages until the fragment is done or its host crashed under the
+// scan (stop doing real work).
+func (sc *scan) readNextStep() {
+	s, pe := sc.s, sc.pe
+	if sc.lvl < 2 {
+		pe.disks.ReadFn(dataDiskFor(pe, sc.lvl), pageID(spaceIndexBase-int64(pe.id), sc.lvl), false, sc.read)
+		return
+	}
+	if sc.remaining <= 0 || (s.faults != nil && s.faults.failedSince(pe.id, sc.start)) {
+		sc.end()
+		return
+	}
+	pg := pageID(sc.relSpace*1_000_000-int64(sc.fragIdx)*100_000, sc.page)
+	pe.disks.ReadFn(dataDiskFor(pe, sc.page), pg, true, sc.read)
+}
+
+// readStep charges a physical read's CPU overhead (not a cache hit's) and
+// continues with the next index level or the page's tuples.
+func (sc *scan) readStep(hit bool) {
+	next := sc.charge
+	if sc.lvl < 2 {
+		sc.lvl++
+		next = sc.readNext
+	}
+	if hit {
+		next()
+		return
+	}
+	sc.pe.computeTFn(sc.s.ct.io, next)
+}
+
+func (sc *scan) chargeStep() {
+	c := &sc.s.cfg
+	sc.page++
+	sc.n = min(int64(c.Blocking), sc.remaining)
+	sc.remaining -= sc.n
+	if sc.q.weights == nil {
+		sc.sent += sc.n // before the uniform split consumes n
+	}
+	sc.idx = 0
+	sc.pe.computeFn(sc.n*(c.Costs.ReadTuple+c.Costs.WriteTuple), sc.split)
+}
+
+// splitStep hash-partitions the page's tuples over the join processes —
+// uniformly round-robin, or by the configured skew weights with the
+// fractions carried as credit; a full output buffer ships at once.
+func (sc *scan) splitStep() {
+	if w := sc.q.weights; w != nil {
+		for sc.idx < len(w) {
+			i := sc.idx
+			sc.idx++
+			sc.credit[i] += float64(sc.n) * w[i]
+			if add := int64(sc.credit[i]); add > 0 {
+				sc.credit[i] -= float64(add)
+				sc.bufs[i] += add
+				sc.sent += add
+				if sc.bufs[i] >= sc.tpp {
+					sc.sendBuf(i, sc.split) // ships the whole buffer
+					return
 				}
-				rr = (rr + 1) % deg
 			}
-		} else {
-			for i := range credit {
-				credit[i] += float64(n) * q.weights[i]
-				if add := int64(credit[i]); add > 0 {
-					credit[i] -= float64(add)
-					bufs[i] += add
-					sent += add
-					for bufs[i] >= tpp {
-						sendBuf(i)
-					}
-				}
+		}
+	} else {
+		for sc.n > 0 {
+			i := sc.rr
+			sc.bufs[i]++
+			sc.rr = (i + 1) % len(sc.bufs)
+			sc.n--
+			if sc.bufs[i] >= sc.tpp {
+				sc.sendBuf(i, sc.split)
+				return
 			}
 		}
 	}
-	if s.faults != nil && s.faults.failedSince(pe.id, start) {
+	sc.readNextStep()
+}
+
+func (sc *scan) end() {
+	s := sc.s
+	if s.faults != nil && s.faults.failedSince(sc.pe.id, sc.start) {
 		// Crashed under the scan: the buffered output is lost; report
 		// completion so the coordinator's counting closes, then abort at
 		// its checkpoint. (The abort round still releases the read lock.)
-		q.coordMail.Put(cmsg{kind: done, from: pe.id})
+		sc.reportStep()
+		sc.space.Close()
 		return
 	}
-	// Skewed apportionment truncates fractions; hand leftovers out
-	// round-robin so every matching tuple is shipped.
-	for ; sent < match; sent++ {
-		bufs[rr]++
-		if bufs[rr] >= tpp {
-			sendBuf(rr)
+	sc.leftoversStep()
+}
+
+// leftoversStep hands out the tuples the skewed apportionment truncated,
+// round-robin, so every matching tuple is shipped.
+func (sc *scan) leftoversStep() {
+	for sc.sent < sc.match {
+		i := sc.rr
+		sc.bufs[i]++
+		sc.rr = (i + 1) % len(sc.bufs)
+		sc.sent++
+		if sc.bufs[i] >= sc.tpp {
+			sc.sendBuf(i, sc.leftovers)
+			return
 		}
-		rr = (rr + 1) % deg
 	}
-	// Scan end: transmit the partially filled output buffers, then report
-	// completion to the coordinator (which broadcasts end-of-phase to the
-	// join processes once all scans are in).
-	for i := range bufs {
-		sendBuf(i)
+	sc.idx = 0
+	sc.flushStep()
+}
+
+// flushStep transmits the partially filled output buffers at scan end,
+// then reports completion to the coordinator (which broadcasts
+// end-of-phase to the join processes once all scans are in) and closes the
+// buffer space once the report is on the wire.
+func (sc *scan) flushStep() {
+	for sc.idx < len(sc.bufs) {
+		i := sc.idx
+		sc.idx++
+		if sc.bufs[i] > 0 {
+			sc.sendBuf(i, sc.flush)
+			return
+		}
 	}
-	s.sendCtl(p, pe.id, q.coordPE, func() {
-		q.coordMail.Put(cmsg{kind: done, from: pe.id})
-	})
+	sc.s.sendCtlFn(sc.pe.id, sc.q.coordPE, sc.report, sc.space.Close)
+}
+
+func (sc *scan) reportStep() {
+	sc.q.coordMail.Put(cmsg{kind: sc.done, from: sc.pe.id})
+}
+
+// sendBuf ships output buffer i to its join process, then continues with
+// then.
+func (sc *scan) sendBuf(i int, then func()) {
+	n := sc.bufs[i]
+	sc.bufs[i] = 0
+	mail, kind := sc.q.joinMail[i], sc.kind
+	sc.s.sendDataFn(sc.pe.id, sc.q.dec.JoinPEs[i], n, func() {
+		mail.Put(jmsg{kind: kind, tuples: n})
+	}, then)
 }
 
 // broadcastJoin sends a control message to every join process.

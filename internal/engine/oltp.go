@@ -67,7 +67,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		// node's AVAIL-MEMORY sees. High priority: taken ahead of queued
 		// join reservations, stealing join frames if necessary.
 		scratch := pe.buf.NewSpace(fmt.Sprintf("pe%d/oltp%d", pe.id, txn), buffer.PriorityOLTP, 0)
-		scratch.AcquireBestEffort(p, scratchPagesPerTxn)
+		scratch.AcquireBestEffort(scratchPagesPerTxn)
 
 		aborted := false
 		faultAborted := false

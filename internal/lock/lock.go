@@ -107,6 +107,22 @@ func (e *entry) compatible(txn TxnID, m Mode) bool {
 // front). Re-requesting a held mode is a no-op; requesting Exclusive while
 // holding Shared performs an upgrade. Returns ErrDeadlock if aborted.
 func (t *Table) Lock(p *sim.Proc, txn TxnID, key Key, m Mode) error {
+	if t.TryLock(txn, key, m) {
+		return nil
+	}
+	e := t.entries[key]
+	if _, held := e.holders[txn]; held {
+		// Only an S -> X upgrade can fail while holding.
+		return t.wait(p, e, &request{p: p, txn: txn, mode: Exclusive, upgrade: true}, key)
+	}
+	return t.wait(p, e, &request{p: p, txn: txn, mode: m}, key)
+}
+
+// TryLock grants key to txn in mode m if Lock would grant it without
+// waiting, and reports whether it did. It never blocks, so run-to-completion
+// light processes can take locks that are known to be free. On false
+// nothing changed except that the key's (empty) entry may exist.
+func (t *Table) TryLock(txn TxnID, key Key, m Mode) bool {
 	e := t.entries[key]
 	if e == nil {
 		e = &entry{holders: make(map[TxnID]Mode)}
@@ -114,24 +130,19 @@ func (t *Table) Lock(p *sim.Proc, txn TxnID, key Key, m Mode) error {
 	}
 	if held, ok := e.holders[txn]; ok {
 		if held == Exclusive || m == Shared {
-			return nil // already sufficient
+			return true // already sufficient
 		}
 		// Upgrade S -> X.
-		if e.compatible(txn, Exclusive) && !t.upgradeQueued(e, txn) {
-			e.holders[txn] = Exclusive
-			t.setHeld(txn, key, Exclusive)
-			t.locks++
-			return nil
+		if !e.compatible(txn, Exclusive) || t.upgradeQueued(e, txn) {
+			return false
 		}
-		return t.wait(p, e, &request{p: p, txn: txn, mode: Exclusive, upgrade: true}, key)
+	} else if len(e.queue) > 0 || !e.compatible(txn, m) {
+		return false
 	}
-	if len(e.queue) == 0 && e.compatible(txn, m) {
-		e.holders[txn] = m
-		t.setHeld(txn, key, m)
-		t.locks++
-		return nil
-	}
-	return t.wait(p, e, &request{p: p, txn: txn, mode: m}, key)
+	e.holders[txn] = m
+	t.setHeld(txn, key, m)
+	t.locks++
+	return true
 }
 
 func (t *Table) upgradeQueued(e *entry, txn TxnID) bool {

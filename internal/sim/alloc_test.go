@@ -89,6 +89,34 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		k.RunAll()
 	})
 
+	// Light processes: a UseFn chain on a free server (one hold event per
+	// step), and light processes contending for one server (a queued
+	// waiter and a grant event per hand-over). The continuation is a
+	// prebuilt func value, so all per-hold state must ride the pooled
+	// events and waiters.
+	t.Run("useFnUncontended", func(t *testing.T) {
+		k := NewKernel()
+		srv := NewServer(k, "cpu", 1)
+		var step func()
+		step = func() { srv.UseFn(Microsecond, step) }
+		k.SpawnFn(step)
+		requireZeroAllocs(t, "UseFn uncontended hold", measureSteadyAllocs(t, k, 100*Microsecond))
+	})
+
+	t.Run("useFnContended", func(t *testing.T) {
+		k := NewKernel()
+		srv := NewServer(k, "cpu", 2)
+		for i := 0; i < 8; i++ {
+			var step func()
+			step = func() { srv.UseFn(Microsecond, step) }
+			k.SpawnFn(step)
+		}
+		requireZeroAllocs(t, "UseFn contended grant", measureSteadyAllocs(t, k, 100*Microsecond))
+		if srv.MeanWait() == 0 {
+			t.Error("no UseFn request ever queued")
+		}
+	})
+
 	t.Run("chanPingPong", func(t *testing.T) {
 		k := NewKernel()
 		ping := NewChan[int](k, "ping")

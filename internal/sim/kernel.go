@@ -7,11 +7,19 @@ import "fmt"
 // At/After). Exactly one of p and fn is set. fn must never block; blocking
 // work belongs in processes. Events are pooled by the kernel, so neither
 // payload allocates in steady state.
+//
+// A run-fn event with srv set is a Server.UseFn step, carried by the event
+// itself so a light process's hold needs no closure: a grant starts the
+// queued hold of d on srv, otherwise the hold on srv ends (Release) before
+// fn runs.
 type event struct {
-	t   Time
-	seq int64
-	fn  func() // run-fn payload; nil for resume-proc events
-	p   *Proc  // resume-proc payload
+	t     Time
+	seq   int64
+	fn    func() // run-fn payload; nil for resume-proc events
+	p     *Proc  // resume-proc payload
+	srv   *Server
+	d     Duration
+	grant bool
 }
 
 // maxTime is the largest representable simulated time.
@@ -179,6 +187,8 @@ func (k *Kernel) newEvent(t Time) *event {
 func (k *Kernel) freeEvent(e *event) {
 	e.fn = nil
 	e.p = nil
+	e.srv = nil
+	e.grant = false
 	k.pool = append(k.pool, e)
 }
 
@@ -285,9 +295,25 @@ func (k *Kernel) dispatch(e *event) {
 		k.switchTo(p)
 		return
 	}
-	fn := e.fn
+	k.runFn(e)
+}
+
+// runFn recycles a run-fn event and performs it in the current context: a
+// UseFn grant starts its hold, a UseFn hold end releases its server, and
+// then (or at once, for plain events) fn runs.
+func (k *Kernel) runFn(e *event) {
+	fn, srv, d, grant := e.fn, e.srv, e.d, e.grant
 	k.freeEvent(e)
-	fn()
+	switch {
+	case srv == nil:
+		fn()
+	case grant:
+		k.blocked--
+		srv.holdFn(d, fn)
+	default:
+		srv.Release()
+		fn()
+	}
 }
 
 // Run executes events in timestamp order until the calendar is empty or the
@@ -356,8 +382,11 @@ func (k *Kernel) SpawnFn(fn func()) {
 // returned normally) and is recovered at the spawn boundary. Processes
 // whose start event never fired, and one whose body already panicked out
 // of Run, are retired without running anything. Pending calendar events
-// are left in place — they will simply never be dispatched. The kernel
-// must not be used for further simulation after Shutdown.
+// are left in place — they will simply never be dispatched. An in-flight
+// light process (SpawnFn) has no coroutine to unwind: it is dropped with
+// its pending events, and whatever it holds (a buffer space, a lock) is
+// not returned. The kernel must not be used for further simulation after
+// Shutdown.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")

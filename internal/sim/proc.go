@@ -194,9 +194,7 @@ func (p *Proc) block() {
 			k.handoff = q
 			break
 		}
-		fn := e.fn
-		k.freeEvent(e)
-		fn()
+		k.runFn(e)
 	}
 	// Sleep until a dispatcher resumes us; a stopped yield is Shutdown
 	// killing the process at this block point.

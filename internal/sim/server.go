@@ -25,11 +25,12 @@ type Server struct {
 }
 
 // serverWaiter is a queued request for one server: a blocked process
-// (Acquire) or a continuation to grant the server to (UseFn). Exactly one
-// of p and fn is set.
+// (Acquire) or a continuation to grant the server to (UseFn) for a hold
+// of d. Exactly one of p and fn is set.
 type serverWaiter struct {
 	p       *Proc
 	fn      func()
+	d       Duration
 	arrived Time
 }
 
@@ -107,11 +108,12 @@ func (s *Server) Release() {
 		w.p.unpark()
 		w.p = nil
 	} else {
-		// A light waiter: schedule its grant continuation at the same
-		// (time, seq) position the unpark event would have had.
-		fn := w.fn
+		// A light waiter: schedule its grant at the same (time, seq)
+		// position the unpark event would have had.
+		e := s.k.newEvent(s.k.now)
+		e.fn, e.srv, e.d, e.grant = w.fn, s, w.d, true
+		s.k.schedule(e)
 		w.fn = nil
-		s.k.At(s.k.Now(), fn)
 	}
 	s.free = append(s.free, w)
 }
@@ -129,6 +131,8 @@ func (s *Server) Use(p *Proc, d Duration) {
 // are — uncontended with d > 0 one hold event, uncontended with d == 0
 // none, contended one grant event per hand-over — so converting a Use call
 // site to UseFn is dispatch-order-neutral and results stay bit-identical.
+// The hold and grant steps ride the pooled events and waiters, so UseFn
+// allocates nothing in steady state when fn is a prebuilt func value.
 func (s *Server) UseFn(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: server %q UseFn negative duration %v", s.name, d))
@@ -147,11 +151,7 @@ func (s *Server) UseFn(d Duration, fn func()) {
 	} else {
 		w = &serverWaiter{}
 	}
-	w.p, w.arrived = nil, s.k.Now()
-	w.fn = func() {
-		s.k.blocked--
-		s.holdFn(d, fn)
-	}
+	w.p, w.fn, w.d, w.arrived = nil, fn, d, s.k.Now()
 	s.q = append(s.q, w)
 	s.k.blocked++
 }
@@ -165,10 +165,9 @@ func (s *Server) holdFn(d Duration, fn func()) {
 		fn()
 		return
 	}
-	s.k.At(s.k.Now()+d, func() {
-		s.Release()
-		fn()
-	})
+	e := s.k.newEvent(s.k.now + d)
+	e.fn, e.srv = fn, s
+	s.k.schedule(e)
 }
 
 // Utilization returns the fraction of server-capacity-time spent busy since
