@@ -83,7 +83,9 @@ func run() int {
 		sched.UseRemote(pool.RunPlanJob)
 		log.Printf("dynlbd fanning simulations out to %d workers: %s", pool.NumWorkers(), *distW)
 	}
-	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched)}
+	// A client gets 10 s to send its request headers, so a slow or idle
+	// connection cannot hold a server goroutine open indefinitely.
+	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

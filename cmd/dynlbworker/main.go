@@ -51,7 +51,9 @@ func run() int {
 	}
 
 	w := dist.NewWorker(*slots)
-	srv := &http.Server{Addr: *addr, Handler: w}
+	// A client gets 10 s to send its request headers, so a slow or idle
+	// connection cannot hold a server goroutine open indefinitely.
+	srv := &http.Server{Addr: *addr, Handler: w, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -401,5 +402,31 @@ func TestPoolRunPlanJob(t *testing.T) {
 	}
 	if pool.NumLive() != 1 {
 		t.Fatalf("NumLive = %d after failover, want 1 (dead worker stays down)", pool.NumLive())
+	}
+}
+
+// TestWorkerBodyLimit: a valid job batch padded with leading whitespace past
+// maxJobsBytes answers 413 without being decoded; the same batch padded to
+// just under the limit runs.
+func TestWorkerBodyLimit(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(1))
+	defer srv.Close()
+	doc := `{"jobs": []}`
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{maxJobsBytes + 1, http.StatusRequestEntityTooLarge},
+		{maxJobsBytes, http.StatusOK},
+	} {
+		body := strings.Repeat(" ", tc.size-len(doc)) + doc
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d", tc.size, resp.StatusCode, tc.want)
+		}
 	}
 }

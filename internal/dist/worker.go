@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -61,12 +62,21 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 		cap(w.sem), w.busy.Load(), w.jobsDone.Load())
 }
 
+// maxJobsBytes bounds a job batch: 16x the largest one the tests and the
+// benchmark send (4336 bytes). Larger bodies answer 413, which the
+// coordinator treats like any failed dispatch.
+const maxJobsBytes = 68 << 10
+
 func (w *Worker) handleJobs(rw http.ResponseWriter, req *http.Request) {
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxJobsBytes))
 	dec.DisallowUnknownFields()
 	var in runRequest
 	if err := dec.Decode(&in); err != nil {
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, "bad request: "+err.Error(), code)
 		return
 	}
 	resp := runResponse{Results: make([]wireResult, len(in.Jobs))}

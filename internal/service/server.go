@@ -60,12 +60,20 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes bounds a submitted document: 16x the largest one the
+// tests and the benchmark send (1142 bytes). Larger bodies answer 413.
+const maxRequestBytes = 18 << 10
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields() // a typoed option must not silently become a default
 	var req dynlb.ExperimentRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	j, err := s.sched.Submit(&req)

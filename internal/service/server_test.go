@@ -296,6 +296,27 @@ func TestServerBadRequest(t *testing.T) {
 	}
 }
 
+// TestServerBodyLimit: a valid document padded with leading whitespace past
+// maxRequestBytes answers 413 without being decoded; the same document
+// padded to just under the limit is accepted.
+func TestServerBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t, 1, 2, 0)
+	doc := `{"figure": "1a", "scale": "quick"}`
+	for _, size := range []int{maxRequestBytes + 1, maxRequestBytes} {
+		body := strings.Repeat(" ", size-len(doc)) + doc
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		tooBig := resp.StatusCode == http.StatusRequestEntityTooLarge
+		if accepted := resp.StatusCode < 300; tooBig != (size > maxRequestBytes) || !tooBig && !accepted {
+			t.Errorf("%d-byte body: status %d (%s)", size, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestServerBackpressure: a full admission queue answers 429 with a
 // Retry-After hint.
 func TestServerBackpressure(t *testing.T) {
